@@ -167,10 +167,16 @@ func runMeasured(cfg config) (*result, error) {
 	put("ops_per_s", "ops/s", geomean(rates))
 	put("cpu_ms_per_op", "ms", geomean(cpus))
 	lat("session_ms_p50", est.session)
-	lat("subclass_chart_ms_p50", est.subclass)
-	lat("property_chart_ms_p50", est.property)
-	lat("object_chart_ms_p50", est.object)
 	lat("first_chart_ms_p50", est.first)
+	// The owl:Thing pane's three charts are printed, not reported: their
+	// medians moved by up to 26% between runs of identical code (README,
+	// "Dropped metrics").
+	for _, c := range []struct {
+		name string
+		s    series
+	}{{"subclass_chart", est.subclass}, {"property_chart", est.property}, {"object_chart", est.object}} {
+		cfg.info("reference explore.%s p50=%.4f%s n=%d", c.name, c.s.p50(), c.s.tails(), len(c.s))
+	}
 	lat("chart_query_ms_p50", sst.chart)
 	lat("lookup_query_ms_p50", sst.lookup)
 	lat("join_query_ms_p50", sst.join)
