@@ -166,15 +166,13 @@ func runMeasured(cfg config) (*result, error) {
 	put("heap_mb", "MB", sysHeap+fleetHeap)
 	put("ops_per_s", "ops/s", geomean(rates))
 	put("cpu_ms_per_op", "ms", geomean(cpus))
-	lat("session_ms_p50", est.session)
-	lat("first_chart_ms_p50", est.first)
-	// The owl:Thing pane's three charts are printed, not reported: their
-	// medians moved by up to 26% between runs of identical code (README,
-	// "Dropped metrics").
+	// The explore latencies are printed, not reported: their medians moved
+	// by up to 36% between runs of identical code (README, "Dropped
+	// metrics").
 	for _, c := range []struct {
 		name string
 		s    series
-	}{{"subclass_chart", est.subclass}, {"property_chart", est.property}, {"object_chart", est.object}} {
+	}{{"session", est.session}, {"subclass_chart", est.subclass}, {"property_chart", est.property}, {"object_chart", est.object}, {"first_chart", est.first}} {
 		cfg.info("reference explore.%s p50=%.4f%s n=%d", c.name, c.s.p50(), c.s.tails(), len(c.s))
 	}
 	lat("chart_query_ms_p50", sst.chart)
