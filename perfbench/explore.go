@@ -63,34 +63,45 @@ func newExplorer(sys *elinda.System, o *oracle, seed int64) *explorer {
 // maxDepth bounds a walk; the generated hierarchy is four levels deep.
 const maxDepth = 8
 
-// session runs one exploration session and returns its panes.
-func (e *explorer) session(st *exploreStats) (steps []step, stream, oneShot *core.Chart, err error) {
-	t0 := time.Now()
+// The kinds of explorer call a session makes, as walkHooks.call sees them.
+const (
+	kindSubclass   = "subclass_chart"
+	kindProperty   = "property_chart"
+	kindPropertyIn = "property_chart_in"
+	kindObject     = "object_chart"
+	kindStream     = "stream_property_chart"
+)
+
+// walkHooks let a caller time the calls of a session. call runs one
+// explorer call f of the given kind on a pane at depth (owl:Thing is 0)
+// with size instances, and returns its chart; partial is called on each
+// partial chart of the session's streaming chart. The measured run books
+// latencies through them, the traced run opens spans.
+type walkHooks struct {
+	call    func(kind string, depth, size int, f func() *core.Chart) *core.Chart
+	partial func()
+}
+
+// session runs one exploration session: a seeded walk from owl:Thing
+// that draws each pane's charts and drills into a non-empty subclass bar,
+// then one streaming property chart on the pane it ends at. It returns
+// the panes walked, the streamed chart and the last pane.
+func (e *explorer) session(h walkHooks) (steps []step, stream *core.Chart, last *core.Pane, err error) {
 	pane := e.ex.OpenRootPane()
 	for depth := 0; ; depth++ {
 		s := step{class: pane.Bar().Label, size: len(pane.Set())}
-		t := time.Now()
-		s.sub = pane.SubclassChart()
-		dSub := time.Since(t)
-		t = time.Now()
-		s.out = pane.PropertyChart(false, 0)
-		dOut := time.Since(t)
-		s.in = pane.PropertyChart(true, 0)
-		var dObj time.Duration
+		s.sub = h.call(kindSubclass, depth, s.size, pane.SubclassChart)
+		s.out = h.call(kindProperty, depth, s.size, func() *core.Chart { return pane.PropertyChart(false, 0) })
+		s.in = h.call(kindPropertyIn, depth, s.size, func() *core.Chart { return pane.PropertyChart(true, 0) })
 		if len(s.out.Bars) > 0 {
 			s.prop = s.out.Bars[e.rng.Intn(len(s.out.Bars))].Bar.Label
-			t = time.Now()
-			s.obj, err = pane.ConnectionsChart(s.prop, false)
-			dObj = time.Since(t)
+			s.obj = h.call(kindObject, depth, s.size, func() *core.Chart {
+				var c *core.Chart
+				c, err = pane.ConnectionsChart(s.prop, false)
+				return c
+			})
 			if err != nil {
 				return nil, nil, nil, err
-			}
-		}
-		if depth == 0 {
-			st.subclass.add(dSub)
-			st.property.add(dOut)
-			if s.obj != nil {
-				st.object.add(dObj)
 			}
 		}
 		steps = append(steps, s)
@@ -105,46 +116,87 @@ func (e *explorer) session(st *exploreStats) (steps []step, stream, oneShot *cor
 		}
 		pane = e.ex.OpenPane(next[e.rng.Intn(len(next))])
 	}
-	// One streaming property chart per session, on the pane it ends at.
-	t := time.Now()
-	var first time.Duration
-	got := false
-	stream, err = pane.StreamPropertyChart(context.Background(), false, core.IncrementalOptions{},
-		func(*core.Chart, incremental.Snapshot) bool {
-			if !got {
-				first, got = time.Since(t), true
-			}
-			return true
-		})
+	stream = h.call(kindStream, len(steps)-1, len(pane.Set()), func() *core.Chart {
+		var c *core.Chart
+		c, err = pane.StreamPropertyChart(context.Background(), false, core.IncrementalOptions{},
+			func(*core.Chart, incremental.Snapshot) bool { h.partial(); return true })
+		return c
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st.first.add(first)
-	st.session.add(time.Since(t0))
-	// The one-shot chart the stream must equal is computed untimed.
-	oneShot = pane.PropertyChart(false, -1)
-	return steps, stream, oneShot, nil
+	return steps, stream, pane, nil
+}
+
+// hooks times the calls the explore latencies are made of: the three
+// chart kinds on the pane every session opens (owl:Thing), whose charts
+// cost the same in every session, and the time to the streaming chart's
+// first partial chart.
+func (st *exploreStats) hooks() walkHooks {
+	var streamStart time.Time
+	waiting := false
+	return walkHooks{
+		call: func(kind string, depth, size int, f func() *core.Chart) *core.Chart {
+			t := time.Now()
+			if kind == kindStream {
+				streamStart, waiting = t, true
+			}
+			c := f()
+			d := time.Since(t)
+			if depth == 0 {
+				switch kind {
+				case kindSubclass:
+					st.subclass.add(d)
+				case kindProperty:
+					st.property.add(d)
+				case kindObject:
+					st.object.add(d)
+				}
+			}
+			return c
+		},
+		partial: func() {
+			if waiting {
+				st.first.add(time.Since(streamStart))
+				waiting = false
+			}
+		},
+	}
 }
 
 // runExplore runs sessions until the phase's time is spent.
 func runExplore(sys *elinda.System, o *oracle, seed int64, ph *phase, chk *checker) *exploreStats {
 	e := newExplorer(sys, o, seed)
 	st := &exploreStats{}
+	h := st.hooks()
 	for ph.more() {
 		var steps []step
-		var stream, oneShot *core.Chart
+		var stream *core.Chart
+		var last *core.Pane
+		var d time.Duration
 		ph.op(func() (err error) {
-			steps, stream, oneShot, err = e.session(st)
+			t := time.Now()
+			steps, stream, last, err = e.session(h)
+			d = time.Since(t)
 			return err
 		})
-		for _, s := range steps {
-			e.check(s, chk)
+		if stream == nil {
+			continue
 		}
-		if stream != nil {
-			e.checkStream(stream, oneShot, chk)
-		}
+		st.session.add(d)
+		e.checkSession(steps, stream, last, chk)
 	}
 	return st
+}
+
+// checkSession checks every chart of a session against the oracle, and
+// the streamed chart against the one-shot chart of the same pane,
+// computed here, outside the timed session.
+func (e *explorer) checkSession(steps []step, stream *core.Chart, last *core.Pane, chk *checker) {
+	for _, s := range steps {
+		e.check(s, chk)
+	}
+	e.checkStream(stream, last.PropertyChart(false, -1), chk)
 }
 
 func (e *explorer) oracleClass(c rdf.Term) (int32, bool) { return e.o.id(c) }

@@ -43,6 +43,9 @@ type result struct {
 	Attempted int               `json:"attempted"`
 	Failed    int               `json:"failed"`
 	Metrics   map[string]metric `json:"metrics"`
+	// systemHeapMB is heap_mb's part of the explore/serve/update system,
+	// kept for the tests.
+	systemHeapMB float64
 }
 
 // config is one run's parameters.
@@ -58,9 +61,10 @@ type config struct {
 	info func(format string, args ...any)
 }
 
-// Shares of the measured time given to each phase: explore and fleet
-// operations are the slowest, so they get the most time.
-var phaseShare = map[string]float64{"explore": 0.35, "serve": 0.15, "update": 0.2, "fleet": 0.3}
+// Shares of the measured time given to each phase. Explore gets the most:
+// its figures follow the machine's speed, which drifts over seconds, most
+// closely, and a longer phase averages over more of that drift.
+var phaseShare = map[string]float64{"explore": 0.45, "serve": 0.15, "update": 0.15, "fleet": 0.25}
 
 func (c config) budget(phase string) time.Duration {
 	return time.Duration(c.seconds * phaseShare[phase] * float64(time.Second))

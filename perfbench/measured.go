@@ -16,20 +16,19 @@ import (
 // working set, so LRU eviction runs.
 const serveCacheBytes = 160_000
 
-// inputs is everything generated from the seed before any timing.
+// inputs is one graph and everything generated from it with the seed,
+// before any timing: the oracle, the serve pool and the write stream.
 type inputs struct {
-	g, fg       *graph
-	o, fo       *oracle
-	pool, fpool *servePool
-	ws, fws     *writeStream
+	g    *graph
+	o    *oracle
+	pool *servePool
+	ws   *writeStream
 }
 
-func makeInputs(cfg config) *inputs {
-	in := &inputs{g: makeGraph(cfg.seed, cfg.sc.persons), fg: makeGraph(cfg.seed, cfg.sc.fleetPersons)}
-	in.o, in.fo = newOracle(in.g.triples), newOracle(in.fg.triples)
-	in.pool, in.fpool = newServePool(in.o, cfg.seed), newServePool(in.fo, cfg.seed)
-	in.ws, in.fws = newWriteStream(in.o, cfg.seed, "upd"), newWriteStream(in.fo, cfg.seed, "fleet")
-	return in
+func makeInputs(seed int64, persons int, tag string) *inputs {
+	g := makeGraph(seed, persons)
+	o := newOracle(g.triples)
+	return &inputs{g: g, o: o, pool: newServePool(o, seed), ws: newWriteStream(o, seed, tag)}
 }
 
 // setups is how many times each set-up is repeated; setup_s adds up the
@@ -63,7 +62,7 @@ func setUp[T any](open func(i int) (T, error), close func(T)) (T, series, error)
 func runMeasured(cfg config) (*result, error) {
 	start := time.Now()
 	stage := func(what string) { cfg.info("t=%5.1fs %s", time.Since(start).Seconds(), what) }
-	in := makeInputs(cfg)
+	in := makeInputs(cfg.seed, cfg.sc.persons, "upd")
 	stage("inputs generated")
 	sys, sysSetup, err := setUp(func(int) (*elinda.System, error) { return openSystem(in.g.nt) }, func(*elinda.System) {})
 	if err != nil {
@@ -107,45 +106,44 @@ func runMeasured(cfg config) (*result, error) {
 	ust := runUpdate(sys, client, lb.url, in.ws, in.o, up, chk)
 	checkStoreEqualsOracle(chk, "update", sys, in.o)
 	stage("update done and checked")
-	in.o, in.pool, in.ws = nil, nil, nil
+	in = nil
 
 	// The system's live heap, measured with the benchmark's inputs and
-	// oracle dropped. The system then leaves the heap, and the fleet is
-	// set up only now: each part's figures are taken without the other's
-	// stores for the collector to mark.
+	// oracle dropped and the fleet's not made yet. The system then leaves
+	// the heap, and the fleet is set up only now: each part's figures are
+	// taken without the other's stores for the collector to mark.
 	lb.close()
 	lb = nil
 	client.CloseIdleConnections()
 	sysHeap := liveHeapMB()
 	runtime.KeepAlive(sys)
 	sys = nil
+	fin := makeInputs(cfg.seed, cfg.sc.fleetPersons, "fleet")
+	stage("fleet inputs generated")
 	rig, fleetSetup, err := setUp(func(i int) (*fleetRig, error) {
-		return openFleet(in.fg.nt, filepath.Join(cfg.workdir, fmt.Sprint("fleet", i)))
+		return openFleet(fin.g.nt, filepath.Join(cfg.workdir, fmt.Sprint("fleet", i)))
 	}, (*fleetRig).close)
 	if err != nil {
 		return nil, err
 	}
 	defer rig.close()
-	in.fg = nil
+	fin.g = nil
 	stage("fleet set up")
 	fl := &phase{name: "fleet", budget: cfg.budget("fleet")}
 	runtime.GC()
-	fst := runFleet(rig, in.fws, in.fpool, in.fo, fl, chk)
+	fst := runFleet(rig, fin.ws, fin.pool, fin.o, fl, chk)
 	stage("fleet done")
-	checkStoreEqualsOracle(chk, "fleet coordinator", rig.coord, in.fo)
+	checkStoreEqualsOracle(chk, "fleet coordinator", rig.coord, fin.o)
 	client.CloseIdleConnections()
 
 	phases := []*phase{ex, sv, up, fl}
-	res := &result{Correct: chk.ok(), Metrics: map[string]metric{}}
-	var rates, cpus []float64
+	res := &result{Correct: chk.ok(), Metrics: map[string]metric{}, systemHeapMB: sysHeap}
 	for _, p := range phases {
 		res.Attempted += p.ops
 		res.Failed += p.failed
 		if p.lastErr != nil {
 			cfg.info("phase %s: last error: %v", p.name, p.lastErr)
 		}
-		rates = append(rates, p.opsPerSec())
-		cpus = append(cpus, p.cpuMsPerOp())
 		cfg.info("phase %-8s ops=%d failed=%d busy=%.2fs ops/s=%.2f cpu_ms/op=%.3f", p.name, p.ops, p.failed, p.busy.Seconds(), p.opsPerSec(), p.cpuMsPerOp())
 	}
 	for _, m := range chk.msgs {
@@ -153,7 +151,7 @@ func runMeasured(cfg config) (*result, error) {
 	}
 
 	// The fleet's live heap, the benchmark's inputs and oracle dropped.
-	in = nil
+	fin = nil
 	fleetHeap := liveHeapMB()
 	runtime.KeepAlive(rig)
 
@@ -164,8 +162,15 @@ func runMeasured(cfg config) (*result, error) {
 	}
 	put("setup_s", "s", (sysSetup.p50()+fleetSetup.p50())/1000)
 	put("heap_mb", "MB", sysHeap+fleetHeap)
-	put("ops_per_s", "ops/s", geomean(rates))
-	put("cpu_ms_per_op", "ms", geomean(cpus))
+	// Each phase's CPU cost per operation; the wall-clock rate of the two
+	// phases no latency median covers whole: explore, where a session's
+	// charts are the operation, and serve, whose rate carries the latency
+	// tails the medians leave out.
+	put("explore_ops_per_s", "ops/s", ex.opsPerSec())
+	put("serve_ops_per_s", "ops/s", sv.opsPerSec())
+	for _, p := range phases {
+		put(p.name+"_cpu_ms_per_op", "ms", p.cpuMsPerOp())
+	}
 	// The explore latencies are printed, not reported: their medians moved
 	// by up to 36% between runs of identical code (README, "Dropped
 	// metrics").

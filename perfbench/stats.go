@@ -57,15 +57,6 @@ func cpuTime() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// geomean is the geometric mean of positive values.
-func geomean(vs []float64) float64 {
-	l := 0.0
-	for _, v := range vs {
-		l += math.Log(v)
-	}
-	return math.Exp(l / float64(len(vs)))
-}
-
 // phase accounts the measured operations of one phase. Only the
 // time inside op counts: output checks and bookkeeping between
 // operations are outside the measurement.

@@ -143,39 +143,46 @@ func allocKB(f func()) float64 {
 	return float64(b.TotalAlloc-a.TotalAlloc) / 1e3
 }
 
-// layerMetrics gathers the traced run's figures by name.
-type layerMetrics map[string]metric
+// layerMetrics gathers the traced run's figures by name. A figure whose
+// operations produced no samples is not given a value: its name goes to
+// empty, and the run fails rather than report it as 0.
+type layerMetrics struct {
+	vals  map[string]metric
+	empty []string
+}
 
-func (m layerMetrics) put(name, unit string, v float64) { m[name] = metric{Value: v, Unit: unit} }
+func (m *layerMetrics) put(name, unit string, v float64) { m.vals[name] = metric{Value: v, Unit: unit} }
 
-func (m layerMetrics) p50(name, unit string, s series, scale float64) {
+func (m *layerMetrics) p50(name, unit string, s series, scale float64) {
 	if len(s) == 0 {
-		m.put(name, unit, 0)
+		m.empty = append(m.empty, name)
 		return
 	}
 	m.put(name, unit, s.p50()*scale)
 }
 
-func mean(vs []float64) float64 {
+func (m *layerMetrics) mean(name, unit string, vs []float64) {
 	if len(vs) == 0 {
-		return 0
+		m.empty = append(m.empty, name)
+		return
 	}
 	t := 0.0
 	for _, v := range vs {
 		t += v
 	}
-	return t / float64(len(vs))
+	m.put(name, unit, t/float64(len(vs)))
 }
 
-func ratio(a, b float64) float64 {
+func (m *layerMetrics) ratio(name, unit string, a, b float64) {
 	if b == 0 {
-		return 0
+		m.empty = append(m.empty, name)
+		return
 	}
-	return a / b
+	m.put(name, unit, a/b)
 }
 
 // printLayers prints the per-layer figures in name order.
-func printLayers(info func(string, ...any), m layerMetrics) {
+func printLayers(info func(string, ...any), m map[string]metric) {
 	names := make([]string, 0, len(m))
 	for k := range m {
 		names = append(names, k)

@@ -13,7 +13,6 @@ import (
 	"elinda/internal/core"
 	"elinda/internal/endpoint"
 	"elinda/internal/hvs"
-	"elinda/internal/incremental"
 	"elinda/internal/ontology"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
@@ -29,7 +28,7 @@ import (
 type tracedRun struct {
 	cfg config
 	tr  *tracer
-	m   layerMetrics
+	m   *layerMetrics
 	chk *checker
 	sys *elinda.System
 	eng *sparql.Engine
@@ -63,8 +62,8 @@ func (t *tracedRun) planProbe() {
 
 // runTraced is the traced run: it reports the per-layer metrics.
 func runTraced(cfg config) (*result, error) {
-	in := makeInputs(cfg)
-	t := &tracedRun{cfg: cfg, tr: newTracer(), m: layerMetrics{}, chk: &checker{}, answerBytes: map[string]int64{}}
+	in := makeInputs(cfg.seed, cfg.sc.persons, "upd")
+	t := &tracedRun{cfg: cfg, tr: newTracer(), m: &layerMetrics{vals: map[string]metric{}}, chk: &checker{}, answerBytes: map[string]int64{}}
 	if err := t.setup(in.g.nt); err != nil {
 		return nil, err
 	}
@@ -93,19 +92,23 @@ func runTraced(cfg config) (*result, error) {
 	if err := t.growth(in); err != nil {
 		return nil, err
 	}
-	rig, err := openFleet(in.fg.nt, filepath.Join(cfg.workdir, "fleet"))
+	fin := makeInputs(cfg.seed, cfg.sc.fleetPersons, "fleet")
+	rig, err := openFleet(fin.g.nt, filepath.Join(cfg.workdir, "fleet"))
 	if err != nil {
 		return nil, err
 	}
 	defer rig.close()
-	t.fleet(rig, in.fws, in.fpool, in.fo, phases[3])
+	t.fleet(rig, fin.ws, fin.pool, fin.o, phases[3])
 
 	perLayer, unattributed := t.tr.shares()
 	for _, l := range layers {
 		t.m.put(l+".self_share", "share", perLayer[l])
 	}
 	t.m.put("trace.unattributed_share", "share", unattributed)
-	res := &result{Correct: t.chk.ok(), Metrics: map[string]metric(t.m)}
+	if len(t.m.empty) > 0 {
+		return nil, fmt.Errorf("per-layer metrics without samples: %v", t.m.empty)
+	}
+	res := &result{Correct: t.chk.ok(), Metrics: t.m.vals}
 	for _, p := range phases {
 		res.Attempted += p.ops
 		res.Failed += p.failed
@@ -117,7 +120,7 @@ func runTraced(cfg config) (*result, error) {
 	for _, msg := range t.chk.msgs {
 		cfg.info("CHECK FAILED: %s", msg)
 	}
-	printLayers(cfg.info, t.m)
+	printLayers(cfg.info, t.m.vals)
 	path := filepath.Join(cfg.tracedir, fmt.Sprintf("%s-%d.jsonl", cfg.workload, cfg.seed))
 	if err := t.tr.write(path); err != nil {
 		return nil, err
@@ -150,83 +153,52 @@ func (t *tracedRun) setup(nt []byte) error {
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// explore runs traced sessions: the pane calls are core's public calls,
-// with the ontology refresh each makes first timed on its own.
+// explore runs the measured run's sessions with a span around each
+// explorer call, and the ontology refresh each pane makes first timed on
+// its own.
 func (t *tracedRun) explore(o *oracle, ph *phase) {
 	e := newExplorer(t.sys, o, t.cfg.seed)
 	ex := t.sys.Explorer
 	var subjects, bars, alloc, rounds []float64
 	var final series
-	chart := func(name string, size int, f func() *core.Chart) *core.Chart {
-		var c *core.Chart
-		alloc = append(alloc, allocKB(func() { t.tr.do("core."+name, func() { c = f() }) }))
-		subjects = append(subjects, float64(size))
-		bars = append(bars, float64(len(c.Bars)))
-		return c
+	n := 0
+	h := walkHooks{
+		call: func(kind string, depth, size int, f func() *core.Chart) *core.Chart {
+			var c *core.Chart
+			if kind == kindStream {
+				n = 0
+				final.add(t.tr.do("incremental."+kind, func() { c = f() }))
+				rounds = append(rounds, float64(n))
+				return c
+			}
+			if kind == kindSubclass {
+				t.tr.do("ontology.hierarchy", func() { ex.Hierarchy() })
+			}
+			alloc = append(alloc, allocKB(func() { t.tr.do("core."+kind, func() { c = f() }) }))
+			if c != nil {
+				subjects = append(subjects, float64(size))
+				bars = append(bars, float64(len(c.Bars)))
+			}
+			return c
+		},
+		partial: func() { n++ },
 	}
 	for ph.more() {
 		var steps []step
-		var stream, oneShot *core.Chart
+		var stream *core.Chart
 		var last *core.Pane
-		ph.op(func() error {
-			var err error
-			t.tr.operation("explore", func() {
-				t.tr.do("ontology.hierarchy", func() { ex.Hierarchy() })
-				pane := ex.OpenRootPane()
-				for depth := 0; ; depth++ {
-					s := step{class: pane.Bar().Label, size: len(pane.Set())}
-					t.tr.do("ontology.hierarchy", func() { ex.Hierarchy() })
-					s.sub = chart("subclass_chart", s.size, pane.SubclassChart)
-					s.out = chart("property_chart", s.size, func() *core.Chart { return pane.PropertyChart(false, 0) })
-					s.in = chart("property_chart_in", s.size, func() *core.Chart { return pane.PropertyChart(true, 0) })
-					if len(s.out.Bars) > 0 {
-						s.prop = s.out.Bars[e.rng.Intn(len(s.out.Bars))].Bar.Label
-						s.obj = chart("object_chart", s.size, func() *core.Chart {
-							c, cerr := pane.ConnectionsChart(s.prop, false)
-							if cerr != nil {
-								err = cerr
-								return &core.Chart{}
-							}
-							return c
-						})
-					}
-					steps = append(steps, s)
-					var next []rdf.Term
-					for _, b := range s.sub.Bars {
-						if b.Count > 0 {
-							next = append(next, b.Bar.Label)
-						}
-					}
-					if len(next) == 0 || depth == maxDepth {
-						break
-					}
-					pane = ex.OpenPane(next[e.rng.Intn(len(next))])
-				}
-				n := 0
-				d := t.tr.do("incremental.stream_property_chart", func() {
-					stream, err = pane.StreamPropertyChart(context.Background(), false, core.IncrementalOptions{},
-						func(*core.Chart, incremental.Snapshot) bool { n++; return true })
-				})
-				final.add(d)
-				rounds = append(rounds, float64(n))
-				last = pane
-			})
+		ph.op(func() (err error) {
+			t.tr.operation("explore", func() { steps, stream, last, err = e.session(h) })
 			return err
 		})
-		if last != nil {
-			oneShot = last.PropertyChart(false, -1)
-		}
-		for _, s := range steps {
-			e.check(s, t.chk)
-		}
 		if stream != nil {
-			e.checkStream(stream, oneShot, t.chk)
+			e.checkSession(steps, stream, last, t.chk)
 		}
 	}
-	t.m.put("core.subjects_per_chart", "count", mean(subjects))
-	t.m.put("core.bars_per_chart", "count", mean(bars))
-	t.m.put("core.alloc_kb_per_chart", "KB", mean(alloc))
-	t.m.put("incremental.rounds_per_chart", "count", mean(rounds))
+	t.m.mean("core.subjects_per_chart", "count", subjects)
+	t.m.mean("core.bars_per_chart", "count", bars)
+	t.m.mean("core.alloc_kb_per_chart", "KB", alloc)
+	t.m.mean("incremental.rounds_per_chart", "count", rounds)
 	t.m.p50("incremental.final_chart_ms_p50", "ms", final, 1)
 }
 
@@ -314,16 +286,16 @@ func (t *tracedRun) serve(c *http.Client, base string, pool *servePool, o *oracl
 		ws += b
 	}
 	t.m.p50("hvs.lookup_us_p50", "us", t.hvsLookup, 1e3)
-	t.m.put("hvs.hit_ratio", "share", ratio(float64(t.hits), float64(t.lookups)))
+	t.m.ratio("hvs.hit_ratio", "share", float64(t.hits), float64(t.lookups))
 	t.m.put("hvs.evictions", "count", float64(after.Evictions-before.Evictions))
 	t.m.put("hvs.bytes", "bytes", float64(after.Bytes))
-	t.m.put("hvs.budget_share", "share", ratio(float64(serveCacheBytes), float64(ws)))
+	t.m.ratio("hvs.budget_share", "share", float64(serveCacheBytes), float64(ws))
 	t.m.p50("sparql.parse_us_p50", "us", t.parse, 1e3)
 	t.m.p50("sparql.plan_us_p50", "us", t.plan, 1e3)
 	t.m.p50("sparql.execute_lookup_ms_p50", "ms", t.execLookup, 1)
 	t.m.p50("sparql.execute_join_ms_p50", "ms", t.execJoin, 1)
-	t.m.put("sparql.result_rows_per_query", "count", mean(t.rows))
-	t.m.put("sparql.alloc_kb_per_query", "KB", mean(t.queryAlloc))
+	t.m.mean("sparql.result_rows_per_query", "count", t.rows)
+	t.m.mean("sparql.alloc_kb_per_query", "KB", t.queryAlloc)
 	t.m.p50("decomposer.try_us_p50", "us", t.tryDec, 1e3)
 	t.m.put("proxy.route_hvs", "count", float64(t.routes[0]))
 	t.m.put("proxy.route_decomposer", "count", float64(t.routes[1]))
@@ -332,7 +304,7 @@ func (t *tracedRun) serve(c *http.Client, base string, pool *servePool, o *oracl
 	t.m.put("decomposer.answers", "count", float64(ans))
 	t.m.put("decomposer.rejects", "count", float64(rej))
 	t.m.p50("endpoint.encode_us_p50", "us", t.encode, 1e3)
-	t.m.put("endpoint.bytes_per_query", "bytes", mean(t.bytesOut))
+	t.m.mean("endpoint.bytes_per_query", "bytes", t.bytesOut)
 
 	// Unattributed endpoint time, on the answers of the chart pool's head.
 	var unattributed series
@@ -449,10 +421,10 @@ func (t *tracedRun) update(w *wal.WAL, ws *writeStream, o *oracle, ph *phase) {
 	t.m.p50("sparql.update_ops_us_p50", "us", opsU, 1e3)
 	t.m.p50("store.apply_insert_ms_p50", "ms", ins, 1)
 	t.m.p50("store.apply_delete_ms_p50", "ms", del, 1)
-	t.m.put("wal.bytes_per_write", "bytes", mean(walBytes))
-	t.m.put("hvs.retained_per_write", "count", mean(retained))
-	t.m.put("hvs.evicted_per_write", "count", mean(evicted))
-	t.m.put("ontology.rebuilds_per_write", "count", ratio(float64(rebuilds), float64(writes)))
+	t.m.mean("wal.bytes_per_write", "bytes", walBytes)
+	t.m.mean("hvs.retained_per_write", "count", retained)
+	t.m.mean("hvs.evicted_per_write", "count", evicted)
+	t.m.ratio("ontology.rebuilds_per_write", "count", float64(rebuilds), float64(writes))
 	t.m.p50("ontology.build_ms_after_write", "ms", rebuild, 1)
 }
 
@@ -606,8 +578,8 @@ func (t *tracedRun) fleet(rig *fleetRig, ws *writeStream, pool *servePool, o *or
 	t.m.p50("store.snapshot_write_ms", "ms", publish, 1)
 	t.m.p50("store.snapshot_open_ms", "ms", open, 1)
 	t.m.p50("fleet.sync_ms_p50", "ms", sync, 1)
-	t.m.put("fleet.bytes_per_write", "bytes", ratio(float64(c1.SnapshotBytesSent-c0.SnapshotBytesSent), float64(writes*len(rig.replicas))))
-	t.m.put("router.attempts_per_query", "count", ratio(float64(routed), float64(r1.Requests-r0.Requests)))
+	t.m.ratio("fleet.bytes_per_write", "bytes", float64(c1.SnapshotBytesSent-c0.SnapshotBytesSent), float64(writes*len(rig.replicas)))
+	t.m.ratio("router.attempts_per_query", "count", float64(routed), float64(r1.Requests-r0.Requests))
 	t.m.put("router.hedges", "count", float64(r1.Hedges-r0.Hedges))
 	t.m.p50("router.overhead_us_p50", "us", overhead, 1e3)
 }

@@ -81,8 +81,9 @@ func TestMeasuredRunToy(t *testing.T) {
 	}
 }
 
-// TestTracedRunToy runs the traced phases at toy size: checks pass and
-// the run reports exactly the per-layer metrics BENCHMARK.json declares.
+// TestTracedRunToy runs the traced phases at toy size: checks pass, every
+// per-layer figure has samples (runTraced fails otherwise) and the run
+// reports exactly the per-layer metrics BENCHMARK.json declares.
 func TestTracedRunToy(t *testing.T) {
 	res, err := runTraced(toyConfig(t))
 	if err != nil {
@@ -106,5 +107,26 @@ func TestTracedRunToy(t *testing.T) {
 	}
 	if total < 0.99 || total > 1.01 {
 		t.Errorf("layer shares and the unattributed share add up to %v, want 1", total)
+	}
+}
+
+// TestSystemHeapExcludesFleetInputs checks that heap_mb's system part is
+// read before the fleet's graph, oracle and streams exist: a fleet graph
+// ten times larger must not raise it.
+func TestSystemHeapExcludesFleetInputs(t *testing.T) {
+	heap := func(fleetPersons int) float64 {
+		cfg := toyConfig(t)
+		cfg.sc.fleetPersons = fleetPersons
+		res, err := runMeasured(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.systemHeapMB
+	}
+	small, large := heap(150), heap(1500)
+	// The larger fleet's inputs take about 10 MB; the system part moves
+	// by well under 1 MB with the number of writes a run makes.
+	if large > small+2 {
+		t.Errorf("system heap %.2f MB with the larger fleet graph, %.2f MB with the smaller", large, small)
 	}
 }
