@@ -31,9 +31,11 @@ func (c *checker) ok() bool { return c.failures == 0 }
 // exploreStats are the explore phase's latency classes. The three
 // chart kinds and the session are medians over one class each: the chart
 // kinds are timed on the pane every session opens (owl:Thing), whose
-// charts cost the same in every session.
+// charts cost the same in every session, in wall time and in process CPU
+// time.
 type exploreStats struct {
 	session, subclass, property, object, first series
+	subclassCPU, propertyCPU, objectCPU        series
 }
 
 // step is one pane of a session, kept for checking after the session.
@@ -50,14 +52,47 @@ type step struct {
 // owl:Thing through core.Explorer and core.Pane, the calls the server's
 // /api/chart and /api/connections handlers make.
 type explorer struct {
-	ex   *core.Explorer
-	o    *oracle
-	rng  *rand.Rand
-	memo map[string]any // oracle answers by pane and chart; the graph does not change
+	ex    *core.Explorer
+	o     *oracle
+	rng   *rand.Rand
+	decks map[string]*deck // the walk's choices, by pane and kind of choice
+	memo  map[string]any   // oracle answers by pane and chart; the graph does not change
 }
 
 func newExplorer(sys *elinda.System, o *oracle, seed int64) *explorer {
-	return &explorer{ex: sys.Explorer, o: o, rng: rand.New(rand.NewSource(seed ^ 0xe8b1)), memo: map[string]any{}}
+	return &explorer{ex: sys.Explorer, o: o, rng: rand.New(rand.NewSource(seed ^ 0xe8b1)), decks: map[string]*deck{}, memo: map[string]any{}}
+}
+
+// deck is one choice the walk makes at a pane, dealt from a seeded
+// shuffle of its n options and reshuffled when every option has been
+// dealt.
+type deck struct {
+	order []int
+	next  int
+}
+
+// pick returns the next of n options of the choice key. Every option of a
+// pane is taken equally often, in a seeded order: the mix of panes and
+// charts a run walks is the same for every seed, and only their order
+// changes. Charts of different panes and properties cost from 40 µs to
+// 80 ms, so a mix drawn independently at each step would move the
+// phase's cost per session with the seed.
+func (e *explorer) pick(key string, n int) int {
+	d := e.decks[key]
+	if d == nil {
+		d = &deck{order: make([]int, n)}
+		for i := range d.order {
+			d.order[i] = i
+		}
+		d.next = n
+		e.decks[key] = d
+	}
+	if d.next == n {
+		e.rng.Shuffle(n, func(i, j int) { d.order[i], d.order[j] = d.order[j], d.order[i] })
+		d.next = 0
+	}
+	d.next++
+	return d.order[d.next-1]
 }
 
 // maxDepth bounds a walk; the generated hierarchy is four levels deep.
@@ -94,7 +129,7 @@ func (e *explorer) session(h walkHooks) (steps []step, stream *core.Chart, last 
 		s.out = h.call(kindProperty, depth, s.size, func() *core.Chart { return pane.PropertyChart(false, 0) })
 		s.in = h.call(kindPropertyIn, depth, s.size, func() *core.Chart { return pane.PropertyChart(true, 0) })
 		if len(s.out.Bars) > 0 {
-			s.prop = s.out.Bars[e.rng.Intn(len(s.out.Bars))].Bar.Label
+			s.prop = s.out.Bars[e.pick("property "+s.class.String(), len(s.out.Bars))].Bar.Label
 			s.obj = h.call(kindObject, depth, s.size, func() *core.Chart {
 				var c *core.Chart
 				c, err = pane.ConnectionsChart(s.prop, false)
@@ -114,7 +149,7 @@ func (e *explorer) session(h walkHooks) (steps []step, stream *core.Chart, last 
 		if len(next) == 0 || depth == maxDepth {
 			break
 		}
-		pane = e.ex.OpenPane(next[e.rng.Intn(len(next))])
+		pane = e.ex.OpenPane(next[e.pick("subclass "+s.class.String(), len(next))])
 	}
 	stream = h.call(kindStream, len(steps)-1, len(pane.Set()), func() *core.Chart {
 		var c *core.Chart
@@ -137,20 +172,19 @@ func (st *exploreStats) hooks() walkHooks {
 	waiting := false
 	return walkHooks{
 		call: func(kind string, depth, size int, f func() *core.Chart) *core.Chart {
-			t := time.Now()
+			sw := startWatch()
 			if kind == kindStream {
-				streamStart, waiting = t, true
+				streamStart, waiting = sw.t, true
 			}
 			c := f()
-			d := time.Since(t)
 			if depth == 0 {
 				switch kind {
 				case kindSubclass:
-					st.subclass.add(d)
+					sw.stop(&st.subclass, &st.subclassCPU)
 				case kindProperty:
-					st.property.add(d)
+					sw.stop(&st.property, &st.propertyCPU)
 				case kindObject:
-					st.object.add(d)
+					sw.stop(&st.object, &st.objectCPU)
 				}
 			}
 			return c

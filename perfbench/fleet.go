@@ -16,6 +16,9 @@ const routedPerWrite = 3
 // fleetStats are the fleet phase's latency classes.
 type fleetStats struct {
 	replicate, routed series
+	// replicateCPU is the process CPU time of each replication: the
+	// coordinator's publication and both replicas' hydration.
+	replicateCPU series
 }
 
 // fleetOp is one fleet operation: a single-triple write to the
@@ -30,11 +33,11 @@ func fleetOp(rig *fleetRig, w write, pool *servePool, st *fleetStats) ([]*query,
 	if _, err := rig.coord.Apply(d); err != nil {
 		return nil, nil, err
 	}
-	t := time.Now()
+	sw := startWatch()
 	if err := rig.sync(ctx); err != nil {
 		return nil, nil, err
 	}
-	st.replicate.add(time.Since(t))
+	sw.stop(&st.replicate, &st.replicateCPU)
 	rig.router.ProbeNow(ctx)
 	qs := []*query{{kind: qPropOut, class: w.class, text: core.PropertyExpansionSPARQL(w.class, false), vars: []string{"p", "count", "sp"}}}
 	for len(qs) < routedPerWrite {

@@ -62,9 +62,9 @@ type config struct {
 }
 
 // Shares of the measured time given to each phase. Explore gets the most:
-// its figures follow the machine's speed, which drifts over seconds, most
-// closely, and a longer phase averages over more of that drift.
-var phaseShare = map[string]float64{"explore": 0.45, "serve": 0.15, "update": 0.15, "fleet": 0.25}
+// its sessions are the longest operations. Serve gets a quarter, so that
+// its cost per query averages over more than two rounds of Zipf draws.
+var phaseShare = map[string]float64{"explore": 0.40, "serve": 0.25, "update": 0.10, "fleet": 0.25}
 
 func (c config) budget(phase string) time.Duration {
 	return time.Duration(c.seconds * phaseShare[phase] * float64(time.Second))

@@ -32,14 +32,14 @@ func makeInputs(seed int64, persons int, tag string) *inputs {
 }
 
 // setups is how many times each set-up is repeated; setup_s adds up the
-// medians.
-const setups = 3
+// medians of their CPU times.
+const setups = 5
 
-// setUp times a set-up setups times, keeping the last result and closing
-// the others.
-func setUp[T any](open func(i int) (T, error), close func(T)) (T, series, error) {
+// setUp times a set-up setups times, in wall and in process CPU time,
+// keeping the last result and closing the others.
+func setUp[T any](open func(i int) (T, error), close func(T)) (T, series, series, error) {
 	var last T
-	var times series
+	var times, cpu series
 	for i := 0; i < setups; i++ {
 		if i > 0 {
 			close(last)
@@ -47,15 +47,15 @@ func setUp[T any](open func(i int) (T, error), close func(T)) (T, series, error)
 		var zero T
 		last = zero
 		runtime.GC()
-		t := time.Now()
+		sw := startWatch()
 		v, err := open(i)
 		if err != nil {
-			return zero, nil, err
+			return zero, nil, nil, err
 		}
-		times.add(time.Since(t))
+		sw.stop(&times, &cpu)
 		last = v
 	}
-	return last, times, nil
+	return last, times, cpu, nil
 }
 
 // runMeasured is the untraced run: it reports the end-to-end metrics.
@@ -64,7 +64,7 @@ func runMeasured(cfg config) (*result, error) {
 	stage := func(what string) { cfg.info("t=%5.1fs %s", time.Since(start).Seconds(), what) }
 	in := makeInputs(cfg.seed, cfg.sc.persons, "upd")
 	stage("inputs generated")
-	sys, sysSetup, err := setUp(func(int) (*elinda.System, error) { return openSystem(in.g.nt) }, func(*elinda.System) {})
+	sys, sysSetup, sysSetupCPU, err := setUp(func(int) (*elinda.System, error) { return openSystem(in.g.nt) }, func(*elinda.System) {})
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func runMeasured(cfg config) (*result, error) {
 	sys = nil
 	fin := makeInputs(cfg.seed, cfg.sc.fleetPersons, "fleet")
 	stage("fleet inputs generated")
-	rig, fleetSetup, err := setUp(func(i int) (*fleetRig, error) {
+	rig, fleetSetup, fleetSetupCPU, err := setUp(func(i int) (*fleetRig, error) {
 		return openFleet(fin.g.nt, filepath.Join(cfg.workdir, fmt.Sprint("fleet", i)))
 	}, (*fleetRig).close)
 	if err != nil {
@@ -156,39 +156,47 @@ func runMeasured(cfg config) (*result, error) {
 	runtime.KeepAlive(rig)
 
 	put := func(name, unit string, v float64) { res.Metrics[name] = metric{Value: v, Unit: unit} }
+	ref := func(name string, s series) {
+		cfg.info("%-36s p50=%.4f%s n=%d", name, s.p50(), s.tails(), len(s))
+	}
 	lat := func(name string, s series) {
 		put(name, "ms", s.p50())
-		cfg.info("latency %-26s p50=%.4f%s n=%d", name, s.p50(), s.tails(), len(s))
+		ref("latency "+name, s)
 	}
-	put("setup_s", "s", (sysSetup.p50()+fleetSetup.p50())/1000)
+	// Set-up is timed in process CPU seconds, like the operations that
+	// run for milliseconds below: their wall time carries the hypervisor's
+	// steal, which moved it by up to 45% between runs of identical code
+	// (README, "Wall time and CPU time").
+	put("setup_s", "s", (sysSetupCPU.p50()+fleetSetupCPU.p50())/1000)
 	put("heap_mb", "MB", sysHeap+fleetHeap)
-	// Each phase's CPU cost per operation; the wall-clock rate of the two
-	// phases no latency median covers whole: explore, where a session's
-	// charts are the operation, and serve, whose rate carries the latency
-	// tails the medians leave out.
-	put("explore_ops_per_s", "ops/s", ex.opsPerSec())
-	put("serve_ops_per_s", "ops/s", sv.opsPerSec())
 	for _, p := range phases {
 		put(p.name+"_cpu_ms_per_op", "ms", p.cpuMsPerOp())
 	}
-	// The explore latencies are printed, not reported: their medians moved
-	// by up to 36% between runs of identical code (README, "Dropped
-	// metrics").
-	for _, c := range []struct {
-		name string
-		s    series
-	}{{"session", est.session}, {"subclass_chart", est.subclass}, {"property_chart", est.property}, {"object_chart", est.object}, {"first_chart", est.first}} {
-		cfg.info("reference explore.%s p50=%.4f%s n=%d", c.name, c.s.p50(), c.s.tails(), len(c.s))
-	}
+	lat("subclass_chart_cpu_ms_p50", est.subclassCPU)
+	lat("property_chart_cpu_ms_p50", est.propertyCPU)
+	lat("object_chart_cpu_ms_p50", est.objectCPU)
 	lat("chart_query_ms_p50", sst.chart)
 	lat("lookup_query_ms_p50", sst.lookup)
 	lat("join_query_ms_p50", sst.join)
-	lat("insert_ms_p50", ust.insert)
-	lat("delete_ms_p50", ust.delete)
-	lat("read_after_write_ms_p50", ust.readAfterWrite)
-	lat("replicate_ms_p50", fst.replicate)
-	cfg.info("setup: system p50 %.3f s, fleet p50 %.3f s; live heap: system %.1f MB, fleet %.1f MB", sysSetup.p50()/1000, fleetSetup.p50()/1000, sysHeap, fleetHeap)
-	cfg.info("reference update.chart_query p50=%.4f n=%d; fleet.routed_query p50=%.4f n=%d", ust.chart.p50(), len(ust.chart), fst.routed.p50(), len(fst.routed))
+	lat("insert_cpu_ms_p50", ust.insertCPU)
+	lat("delete_cpu_ms_p50", ust.deleteCPU)
+	lat("read_after_write_cpu_ms_p50", ust.readAfterWriteCPU)
+	lat("replicate_cpu_ms_p50", fst.replicateCPU)
+	// The wall-clock figures of the same operations, printed for
+	// reference, not reported.
+	for _, c := range []struct {
+		name string
+		s    series
+	}{
+		{"explore.session", est.session}, {"explore.subclass_chart", est.subclass}, {"explore.property_chart", est.property},
+		{"explore.object_chart", est.object}, {"explore.first_chart", est.first},
+		{"update.insert", ust.insert}, {"update.delete", ust.delete}, {"update.read_after_write", ust.readAfterWrite},
+		{"update.chart_query", ust.chart}, {"fleet.replicate", fst.replicate}, {"fleet.routed_query", fst.routed},
+	} {
+		ref("reference "+c.name, c.s)
+	}
+	cfg.info("setup: system p50 %.3f s wall, %.3f s CPU; fleet p50 %.3f s wall, %.3f s CPU; live heap: system %.1f MB, fleet %.1f MB",
+		sysSetup.p50()/1000, sysSetupCPU.p50()/1000, fleetSetup.p50()/1000, fleetSetupCPU.p50()/1000, sysHeap, fleetHeap)
 	return res, nil
 }
 

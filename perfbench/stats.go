@@ -57,6 +57,20 @@ func cpuTime() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
+// stopwatch times one operation in wall time and in process CPU time.
+type stopwatch struct {
+	t time.Time
+	c time.Duration
+}
+
+func startWatch() stopwatch { return stopwatch{c: cpuTime(), t: time.Now()} }
+
+// stop books the operation's wall time to wall and its CPU time to cpu.
+func (s stopwatch) stop(wall, cpu *series) {
+	wall.add(time.Since(s.t))
+	cpu.add(cpuTime() - s.c)
+}
+
 // phase accounts the measured operations of one phase. Only the
 // time inside op counts: output checks and bookkeeping between
 // operations are outside the measurement.

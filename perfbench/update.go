@@ -16,6 +16,8 @@ import (
 // updateStats are the update phase's latency classes.
 type updateStats struct {
 	insert, delete, readAfterWrite, chart series
+	// The same operations' process CPU time.
+	insertCPU, deleteCPU, readAfterWriteCPU series
 }
 
 // readAfterWriteClass is the pane whose subclass chart is the first
@@ -55,19 +57,19 @@ func runUpdate(sys *elinda.System, c *http.Client, base string, ws *writeStream,
 		var ack, body []byte
 		var chart *core.Chart
 		ph.op(func() (err error) {
-			t := time.Now()
+			sw := startWatch()
 			if ack, err = httpUpdate(c, base, w.updateText()); err != nil {
 				return err
 			}
 			if w.del {
-				st.delete.add(time.Since(t))
+				sw.stop(&st.delete, &st.deleteCPU)
 			} else {
-				st.insert.add(time.Since(t))
+				sw.stop(&st.insert, &st.insertCPU)
 			}
-			t = time.Now()
+			sw = startWatch()
 			chart = sys.Explorer.OpenPane(ont(readAfterWriteClass)).SubclassChart()
-			st.readAfterWrite.add(time.Since(t))
-			t = time.Now()
+			sw.stop(&st.readAfterWrite, &st.readAfterWriteCPU)
+			t := time.Now()
 			body, err = httpQuery(c, base, q.text)
 			st.chart.add(time.Since(t))
 			return err
